@@ -92,6 +92,15 @@ _SWEEP_PATH = re.compile(
     r"^/sweeps/([0-9a-f]{12})(/results|/dashboard|/events|/spans)?$"
 )
 
+#: largest POST body the service reads; a sweep submission is well under
+#: a kilobyte.  Larger declared bodies get 413 without being read.
+MAX_BODY_BYTES = 1 << 20
+
+
+class BodyTooLarge(ValueError):
+    """A request declared a body over :data:`MAX_BODY_BYTES` (HTTP 413)."""
+
+
 #: long-poll defaults/caps for GET /sweeps/<id>/events.
 EVENTS_DEFAULT_TIMEOUT_S = 25.0
 EVENTS_MAX_TIMEOUT_S = 60.0
@@ -431,7 +440,20 @@ class _Handler(BaseHTTPRequestHandler):
         self._json(code, {"error": message})
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        # ASCII digits only: int() would also take signs, spaces and "1_000"
+        length = int(header) if header.isascii() and header.isdigit() else -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            # the body is left unread, so this connection cannot carry
+            # another request.
+            self.close_connection = True
+            if length < 0:
+                raise ValueError(
+                    f"Content-Length must be a non-negative integer, got {header[:40]!r}"
+                )
+            raise BodyTooLarge(
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ValueError("empty request body (expected JSON)")
@@ -527,6 +549,9 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 body = self._read_body()
                 points, options = validate_submission(body)
+            except BodyTooLarge as exc:
+                self._error(413, str(exc))
+                return
             except ValueError as exc:
                 self._error(400, str(exc))
                 return

@@ -29,7 +29,7 @@ from repro.telemetry.latency import (
 )
 from repro.telemetry.sampler import Sampler
 from repro.telemetry.session import ARTIFACT_NAMES, TelemetrySession, write_artifacts
-from repro.telemetry.tracer import NULL_TRACER, NullTracer, Tracer, chrome_trace
+from repro.telemetry.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.telemetry.traffic import (
     CLASS_OF_CATEGORY,
     CLASS_OF_KIND,
@@ -55,7 +55,6 @@ __all__ = [
     "TelemetrySession",
     "Tracer",
     "TrafficClass",
-    "chrome_trace",
     "class_bytes_from_result",
     "class_shares",
     "conservation_check",

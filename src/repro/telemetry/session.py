@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 from repro.common.config import TelemetryConfig
 from repro.telemetry.latency import NULL_LATENCY, LatencyRecorder, conservation_check
-from repro.telemetry.tracer import NULL_TRACER, Tracer, chrome_trace
+from repro.telemetry.tracer import NULL_TRACER, Tracer, write_event_streams
 from repro.telemetry.sampler import Sampler
 
 #: artifact file names, in the order write_artifacts produces them.
@@ -75,7 +75,8 @@ def write_artifacts(directory: str | Path, export: dict) -> Dict[str, Path]:
 
     Output is byte-deterministic for a given export (sorted keys, no
     timestamps), so serial and parallel runs of the same point produce
-    identical artifact files.
+    identical artifact files.  ``trace.jsonl`` and ``trace.json`` are
+    streamed together by :func:`~repro.telemetry.tracer.write_event_streams`.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -83,12 +84,8 @@ def write_artifacts(directory: str | Path, export: dict) -> Dict[str, Path]:
     meta = export.get("meta", {})
 
     paths = {name: directory / name for name in ARTIFACT_NAMES}
-    paths["trace.json"].write_text(
-        json.dumps(chrome_trace(events, meta=meta), sort_keys=True) + "\n"
-    )
-    paths["trace.jsonl"].write_text(
-        "\n".join(json.dumps(e, sort_keys=True) for e in events) + "\n"
-    )
+    with paths["trace.jsonl"].open("w") as jsonl, paths["trace.json"].open("w") as chrome:
+        write_event_streams(jsonl, chrome, events, meta)
     paths["samples.json"].write_text(
         json.dumps({"columns": export.get("samples", {})}, sort_keys=True) + "\n"
     )

@@ -7,6 +7,7 @@ after a worker dies mid-point and another worker re-claims the lease.
 """
 
 import json
+import socket
 import sqlite3
 import threading
 import time
@@ -25,6 +26,7 @@ from repro.jobs.store import (
 )
 from repro.jobs.worker import Worker, build_config, default_worker_id
 from repro.jobs.service import (
+    MAX_BODY_BYTES,
     SweepService,
     sweep_heartbeat_lines,
     sweep_ledger_records,
@@ -488,6 +490,45 @@ class TestService:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 http_json(service.url + "/sweeps", payload)
             assert excinfo.value.code == 400
+
+    @staticmethod
+    def raw_post(service, content_length, body=b""):
+        """POST /sweeps over a raw socket with a hand-written Content-Length;
+        returns (status, error message).  The socket timeout fails the test
+        if the server waits for a body that never comes."""
+        head = (
+            "POST /sweeps HTTP/1.1\r\nHost: localhost\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n\r\n"
+        ).encode()
+        with socket.create_connection(service.server_address[:2], timeout=10) as sock:
+            sock.sendall(head + body)
+            response = b""
+            while chunk := sock.recv(65536):  # the server closes the connection
+                response += chunk
+        status_line, _, rest = response.partition(b"\r\n")
+        return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])["error"]
+
+    def test_negative_content_length_400(self, service):
+        status, error = self.raw_post(service, -1)
+        assert status == 400
+        assert "Content-Length" in error
+
+    def test_non_integer_content_length_400(self, service):
+        for header in ("abc", "1_0", "+5", "12.5"):
+            status, error = self.raw_post(service, header)
+            assert status == 400
+            assert "Content-Length" in error
+            assert "invalid literal" not in error
+
+    def test_oversized_body_413_unread(self, service):
+        # declares more than the limit but sends a few bytes: the answer must
+        # come without the server reading (or waiting for) the body.
+        status, error = self.raw_post(service, MAX_BODY_BYTES + 1, b'{"design"')
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in error
+        status, _ = http_json(service.url + "/healthz")
+        assert status == 200  # the handler thread is free again
 
     def test_progress_query_requeues_expired_leases(self, service, tmp_path):
         _, doc = http_json(
