@@ -51,12 +51,12 @@ from repro.sim import fastpath
 
 
 def bench_host_metadata() -> dict:
-    """Host metadata plus the fastpath switch states the run was taken under.
+    """Host metadata plus the fastpath the run was taken on.
 
-    Wall-clock numbers are only comparable between runs with the same
-    fast-path configuration (batching / pooling / columnar lane / numpy
-    availability), so the switches are recorded next to the host facts and
-    the ``--check`` guard refuses baselines taken under a different state.
+    Wall-clock numbers are only comparable between runs on the same path
+    (the fast core, or the scalar reference with ``REFERENCE`` set), so
+    ``fastpath.switch_state()`` is recorded next to the host facts and the
+    ``--check`` guard refuses baselines taken on the other path.
     """
     meta = host_metadata()
     meta["fastpath"] = fastpath.switch_state()
@@ -243,8 +243,8 @@ def regression_guard(core_report: dict, baseline_path: Path, start_load: float) 
     check has to skip itself), 1 on a regression beyond
     :data:`REGRESSION_TOLERANCE`.  Skips — with a printed notice — when
     no baseline file exists, the baseline predates the
-    ``events_per_second`` field, the baseline's recorded fastpath switch
-    state differs from the current one (an apples-to-oranges wall-clock
+    ``events_per_second`` field, the baseline's recorded fastpath state
+    differs from the current one (an apples-to-oranges wall-clock
     comparison), or the host's 1-minute loadavg at process start says
     another tenant owns the machine.
     """

@@ -44,6 +44,7 @@ from repro.experiments import figures
 from repro.experiments.designs import DESIGNS
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import Runner, gmean
+from repro.sim import fastpath
 from repro.sim.gpu import simulate
 from repro.telemetry import write_artifacts
 from repro.workloads.suite import BENCHMARK_ORDER, get_benchmark
@@ -59,25 +60,13 @@ def _build_parser() -> argparse.ArgumentParser:
         action="version",
         version=f"%(prog)s {repro.__version__}",
     )
-    # fast-path switches (global: they apply to whatever command runs).
-    # Results are bit-identical either way; these exist for A/B timing and
-    # for debugging with the simpler scalar core.
+    # global: applies to whatever command runs.  Results are bit-identical
+    # either way; the reference path exists for A/B timing and debugging.
     parser.add_argument(
-        "--no-batch",
+        "--reference",
         action="store_true",
-        help="disable the batched core (grouped crossbar delivery, epoch "
-        "trace pregeneration); equivalent to REPRO_NO_BATCH=1",
-    )
-    parser.add_argument(
-        "--no-pool",
-        action="store_true",
-        help="disable object pooling/slot reuse; equivalent to REPRO_NO_POOL=1",
-    )
-    parser.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help="disable the columnar delivery lane (regular delivery groups "
-        "fall back to per-access events); equivalent to REPRO_NO_COLUMNAR=1",
+        help="run the scalar reference path (per-access delivery, scalar "
+        "trace generation) instead of the fast core",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -225,8 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="guard events/sec against the committed BENCH_core.json "
-        "baseline (skips itself when the baseline was taken under "
-        "different fastpath switches or the host is loaded)",
+        "baseline (skips itself when the baseline was taken on the "
+        "other fastpath or the host is loaded)",
     )
     bench.add_argument(
         "--json",
@@ -551,8 +540,6 @@ def _cmd_run(args) -> int:
                 f"(secondary {result.secondary_miss_ratio(kind):.1%})"
             )
     if args.warm_state:
-        from repro.sim import fastpath
-
         print()
         for key, value in fastpath.warm_state().items():
             print(f"warm {key:24s} {value}")
@@ -1275,14 +1262,11 @@ def _cmd_attack() -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.no_batch or args.no_pool or args.no_columnar:
-        from repro.sim import fastpath
+    with fastpath.scoped(reference=args.reference or None):
+        return _dispatch(args)
 
-        fastpath.configure(
-            batching=False if args.no_batch else None,
-            pooling=False if args.no_pool else None,
-            columnar=False if args.no_columnar else None,
-        )
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "profile":

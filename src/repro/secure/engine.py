@@ -257,18 +257,15 @@ class SecureEngine:
         self._crypto_pend = self._lat.channel(HOP_CRYPTO, "DATA")
         self._dram_read = dram.read
         self._dram_write = dram.write
-        #: free-list of _Inflight records (slot reuse for per-miss churn).
-        self._pooling = fastpath.POOLING
-        self._inflight_pool: List[_Inflight] = []
         #: (kind, block_addr) -> parent tree-node address (or None); pure
-        #: geometry, so memoizing cannot change results.  Under the batched
-        #: core the memo is shared process-wide (cross-point warm state).
-        if fastpath.BATCHING:
+        #: geometry, so memoizing cannot change results.  On the fast path
+        #: the memo is shared process-wide (cross-point warm state).
+        if fastpath.REFERENCE:
+            self._parent_memo = {}
+        else:
             self._parent_memo = _shared_parent_memo(
                 layout, self._counter_mode, config.uses_tree
             )
-        else:
-            self._parent_memo = {}
         self._kind_state = {
             kind: _KindState(kind, self._kind_stats[kind]) for kind in MetadataKind
         }
@@ -605,14 +602,7 @@ class SecureEngine:
         ready = self._dram_read(
             start, params.CACHE_LINE_BYTES, category, block_addr, tclass=tclass
         )
-        pool = self._inflight_pool
-        if pool:
-            record = pool.pop()
-            record.ready_time = ready
-            record.dirty = is_write
-        else:
-            record = _Inflight(ready, is_write)
-        inflight[block_addr] = record
+        inflight[block_addr] = _Inflight(ready, is_write)
         if mshr_enabled and not full:
             mshr.allocate(block_addr, ready)
         self.events.schedule_at(ready, self._on_metadata_fill, state, block_addr)
@@ -623,14 +613,9 @@ class SecureEngine:
         now = self.events.now
         pending = state.inflight.pop(block_addr, None)
         mshr = state.mshr
-        if mshr.enabled:
-            entry = mshr.get(block_addr)
-            if entry is not None:
-                mshr.release(block_addr)
-                mshr.recycle(entry)
+        if mshr.enabled and mshr.get(block_addr) is not None:
+            mshr.release(block_addr)
         dirty = pending.dirty if pending is not None else False
-        if pending is not None and self._pooling:
-            self._inflight_pool.append(pending)
         evictions = state.cache.fill(block_addr, dirty=dirty)
         state.counts["fills"] += 1.0
         for eviction in evictions:

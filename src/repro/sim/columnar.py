@@ -9,10 +9,10 @@ when it is, routes the whole group around the per-access closure/dispatch
 machinery of ``partition.access`` → ``engine.read_sector`` →
 ``dram.read``:
 
-* a column pass derives the partition index, partition-local address, L2
-  tag and sector bit for every access up front — vectorized with numpy for
-  wide coalesced groups, with a bit-identical pure-Python twin below the
-  numpy threshold (and in numpy-less environments);
+* a column step derives the partition index, partition-local address, L2
+  tag and sector bit of each access with a few shifts and masks (the
+  shipped workloads coalesce into 2–8-sector groups, too narrow for a
+  vectorized pass to pay for its setup);
 * a fused per-sector pass then applies every state transition *in the
   exact order the scalar path would* — L2 LRU/tag updates, MSHR
   allocate/merge, secure-metadata cache peek/merge, AES/MAC pipe FCFS
@@ -23,9 +23,10 @@ machinery of ``partition.access`` → ``engine.read_sector`` →
 
 Because stateful mutations happen in scalar order and every scheduled
 event keeps its (time, seq) position, results are bit-identical to the
-event-path core; the ``fastpath.COLUMNAR`` switch and the golden-identity
-suite pin that claim.  Irregular groups — telemetry live, banked DRAM,
-metadata trace hooks, exotic cache geometry — fall back to the scalar
+event-path core; the reference path (``fastpath.REFERENCE``, which never
+builds a lane) and the golden-identity and differential suites pin that
+claim.  Irregular groups — telemetry live, banked DRAM, metadata trace
+hooks, exotic cache geometry — fall back to the scalar
 ``Crossbar._deliver_batch`` loop untouched.
 """
 
@@ -42,16 +43,6 @@ from repro.sim.cache import SectoredCache, _Line
 from repro.sim.dram import DramChannel
 from repro.sim.mshr import MshrEntry
 from repro.sim.partition import BACKLOG_WINDOW, MemoryPartition
-
-if fastpath.HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - exercised in numpy-less environments
-    _np = None
-
-#: below this group size the scalar column twin wins (numpy call overhead
-#: exceeds the per-element savings for the 2–8 sector groups typical of
-#: 32-thread coalesced ops); wide groups take the vectorized pass.
-NUMPY_MIN_GROUP = 16
 
 
 class _KindLane:
@@ -144,7 +135,6 @@ class _PartitionLane:
         "l2_enabled",
         "l2_merge_cap",
         "l2_mshr",
-        "l2_pool",
         "l2_ready_heap",
         "engine",
         "eng_counts",
@@ -227,7 +217,6 @@ class _PartitionLane:
         self.l2_enabled = partition._l2_mshr_enabled
         self.l2_merge_cap = partition.l2_mshr.merge_cap
         self.l2_mshr = partition.l2_mshr
-        self.l2_pool = partition.l2_mshr._pool
         self.l2_ready_heap = partition.l2_mshr._ready_heap
         self.engine = engine
         self.eng_counts = engine._counts
@@ -603,7 +592,6 @@ class _PartitionLane:
         self.l2_counts["fills"] += 1.0
         for respond in entry.waiters:
             respond(now)
-        self.l2_mshr.recycle(entry)
 
     def _on_untracked_fill(self, sector: int, respond) -> None:
         """Inline of ``MemoryPartition._on_untracked_fill`` (telemetry off)."""
@@ -713,14 +701,7 @@ class _PartitionLane:
         if mshr_enabled and len(entries) < self.l2_cap:
             # MshrTable.allocate, inlined (enabled/full/dup pre-checked by
             # the flow above, exactly as the scalar caller guarantees).
-            pool = self.l2_pool
-            if pool:
-                entry = pool.pop()
-                entry.line_addr = sector
-                entry.ready_time = ready
-                entry.merged = 0
-            else:
-                entry = MshrEntry(sector, ready)
+            entry = MshrEntry(sector, ready)
             entry.waiters.append(self._make_reply(respond))
             entries[sector] = entry
             _heappush(self.l2_ready_heap, (ready, sector))
@@ -835,36 +816,12 @@ class ColumnarLane:
         for p in self._partitions:
             if p._lat_on or p._trace_on:
                 return False
-        n = len(items)
         shift = self._shift
         pshift = self._pshift
         offset_mask = self._offset_mask
         pmask = self._pmask
         l2_shift = self._l2_shift
         lanes = self._lanes
-        if _np is not None and n >= NUMPY_MIN_GROUP:
-            # vectorized column pass: partition index, local address, L2
-            # tag and sector bit for the whole group in four array ops.
-            addrs = _np.fromiter((item[0] for item in items), _np.int64, count=n)
-            pidx_col = ((addrs >> shift) & pmask).tolist()
-            local = ((addrs >> (shift + pshift)) << shift) | (addrs & offset_mask)
-            tag_col = (local >> l2_shift).tolist()
-            if self._l2_sectored:
-                bit_col = (
-                    _np.left_shift(1, (local >> self._sector_shift) & self._spl_mask)
-                ).tolist()
-            else:
-                bit_col = [1] * n
-            local_col = local.tolist()
-            for i in range(n):
-                item = items[i]
-                lane = lanes[pidx_col[i]]
-                if item[1]:
-                    lane.write(now, local_col[i], tag_col[i], bit_col[i], item[2])
-                else:
-                    lane.read(now, local_col[i], tag_col[i], bit_col[i], item[2])
-            return True
-        # scalar column twin (also the numpy-less path)
         sectored = self._l2_sectored
         sector_shift = self._sector_shift
         spl_mask = self._spl_mask
@@ -884,8 +841,8 @@ class ColumnarLane:
 
 
 def build_lane(config, events, partitions, latency) -> Optional[ColumnarLane]:
-    """A lane for this GPU, or None when the switches rule it out."""
-    if not (fastpath.BATCHING and fastpath.COLUMNAR):
+    """A lane for this GPU, or None on the reference path or an irregular GPU."""
+    if fastpath.REFERENCE:
         return None
     lane = ColumnarLane(config, events, partitions, latency)
     return lane if lane._ok else None

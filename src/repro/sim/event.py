@@ -85,20 +85,8 @@ class EventQueue:
         #: logical events folded into batch callbacks (grouped crossbar
         #: delivery executes N per-access deliveries under one scheduled
         #: event; the extra N-1 are counted here so events/sec stays
-        #: comparable across the batched and scalar cores).
+        #: comparable across the fast and reference paths).
         self.extra_events = 0
-        #: free-list of payload lists for batch events (slot reuse).
-        self._list_pool: List[list] = []
-
-    def borrow_list(self) -> list:
-        """An empty list from the pool (return it via :meth:`recycle_list`)."""
-        pool = self._list_pool
-        return pool.pop() if pool else []
-
-    def recycle_list(self, used: list) -> None:
-        """Return a borrowed payload list once its batch event has fired."""
-        used.clear()
-        self._list_pool.append(used)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` at absolute *time* (>= now)."""

@@ -1,91 +1,50 @@
-"""Runtime switches for the batched/pooled simulation core.
+"""The one fast-path switch: the fast core or the scalar reference oracle.
 
-The batched core (grouped crossbar delivery, epoch-pregenerated warp
-traces) and the object pools (MSHR entries, in-flight metadata records)
-are *pure mechanical* optimizations: they must produce bit-identical
-results to the scalar, allocation-per-event path.  These switches exist
-so that claim stays testable — the golden-identity tests run every case
-both ways — and so environments without numpy degrade gracefully.
+The fast core — grouped crossbar delivery, the columnar delivery lane,
+numpy epoch trace generation and the vectorized latency-histogram fold —
+is a *pure mechanical* optimization: it must produce bit-identical
+results to the scalar per-access path.  :data:`REFERENCE` selects that
+scalar path (scalar trace generators, per-access delivery, eager
+histogram fold) so the claim stays testable: the golden-identity and
+differential tests run every case both ways.
 
-The switches deliberately live OUTSIDE :class:`repro.common.config.GpuConfig`:
-they can never change a simulated statistic, so they must not perturb
-config digests used as cache keys (a batched and a scalar run of the same
-config share one cache entry).
-
-Environment overrides (checked once at import):
-
-* ``REPRO_NO_BATCH=1``    — disable batched delivery + epoch trace generation;
-* ``REPRO_NO_POOL=1``     — disable object pooling/slot reuse.
-* ``REPRO_NO_COLUMNAR=1`` — disable the columnar delivery lane (fused
-  partition/metadata/DRAM timing for regular delivery groups).
+The switch deliberately lives OUTSIDE :class:`repro.common.config.GpuConfig`:
+it can never change a simulated statistic, so it must not perturb config
+digests used as cache keys (a fast and a reference run of the same config
+share one cache entry).  Set it with ``repro --reference`` or, in-process,
+with :func:`scoped`; process pools fork, so children inherit it.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
-try:  # numpy accelerates epoch trace generation; everything else is pure.
-    import numpy  # noqa: F401
+import numpy  # noqa: F401  (re-exported for the epoch trace generators)
 
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised in numpy-less environments
-    HAVE_NUMPY = False
-
-#: grouped crossbar delivery and epoch-batched trace pregeneration.
-BATCHING = not os.environ.get("REPRO_NO_BATCH")
-#: MshrEntry/_Inflight free-lists and per-warp callback reuse.
-POOLING = not os.environ.get("REPRO_NO_POOL")
-#: columnar delivery lane: regular delivery groups bypass the per-access
-#: event/closure machinery and run as one fused pass (requires BATCHING,
-#: since only grouped deliveries carry whole regular epochs).
-COLUMNAR = not os.environ.get("REPRO_NO_COLUMNAR")
-
-
-def configure(
-    batching: bool | None = None,
-    pooling: bool | None = None,
-    columnar: bool | None = None,
-) -> None:
-    """Flip the fast-path switches (affects GPUs built afterwards)."""
-    global BATCHING, POOLING, COLUMNAR
-    if batching is not None:
-        BATCHING = bool(batching)
-    if pooling is not None:
-        POOLING = bool(pooling)
-    if columnar is not None:
-        COLUMNAR = bool(columnar)
+#: run the scalar reference path instead of the fast core.
+REFERENCE = False
 
 
 @contextmanager
-def scoped(
-    batching: bool | None = None,
-    pooling: bool | None = None,
-    columnar: bool | None = None,
-):
-    """Temporarily override the switches (the identity tests use this)."""
-    global BATCHING, POOLING, COLUMNAR
-    saved = (BATCHING, POOLING, COLUMNAR)
-    configure(batching, pooling, columnar)
+def scoped(reference: bool | None = None):
+    """Temporarily select the reference path (affects GPUs built inside)."""
+    global REFERENCE
+    saved = REFERENCE
+    if reference is not None:
+        REFERENCE = bool(reference)
     try:
         yield
     finally:
-        BATCHING, POOLING, COLUMNAR = saved
+        REFERENCE = saved
 
 
 def switch_state() -> dict:
-    """The active switch states plus the numpy soft-dependency flag.
+    """The active fast-path selection.
 
     Recorded in benchmark metadata (``BENCH_core.json`` host info) so a
-    regression check can refuse to compare runs taken under different
-    fast-path configurations.
+    regression check can refuse to compare runs taken on different paths.
     """
-    return {
-        "batching": BATCHING,
-        "pooling": POOLING,
-        "columnar": COLUMNAR,
-        "numpy": HAVE_NUMPY,
-    }
+    return {"reference": REFERENCE}
 
 
 def warm_state() -> dict:

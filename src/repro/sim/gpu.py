@@ -101,13 +101,13 @@ class Gpu:
         self.stats = StatGroup("gpu")
         # per-partition metadata: each memory controller protects its own
         # slice of the protected range with its own counters/MACs/tree.
-        # Under the batched core the (immutable) layout is shared process-
-        # wide, so address-translation memos stay warm across points.
+        # On the fast path the (immutable) layout is shared process-wide,
+        # so address-translation memos stay warm across points.
         per_partition = config.secure.protected_bytes // config.num_partitions
-        if fastpath.BATCHING:
-            self.layout = shared_layout(max(per_partition, 1 << 20))
-        else:
+        if fastpath.REFERENCE:
             self.layout = MetadataLayout(max(per_partition, 1 << 20))
+        else:
+            self.layout = shared_layout(max(per_partition, 1 << 20))
         #: telemetry is opt-in; when off, components hold NULL_TRACER and
         #: the event loop sees no sampler events — the timed path is
         #: bit-identical to a build without telemetry at all.

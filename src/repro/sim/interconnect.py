@@ -91,13 +91,12 @@ class Crossbar:
     def send_batch(self, now: float, items: list) -> None:
         """Forward a group of same-cycle requests as one scheduled event.
 
-        *items* is a list of ``(addr, is_write, respond)`` tuples (borrowed
-        from the event queue's list pool).  In the scalar core these were
-        consecutive ``send`` calls: k deliver events with identical
-        timestamps and consecutive sequence numbers, so nothing could fire
-        between them — executing the deliveries back to back under one
-        event is order-identical, and every downstream event keeps its
-        relative scheduling order.
+        *items* is a list of ``(addr, is_write, respond)`` tuples.  On the
+        reference path these are consecutive ``send`` calls: k deliver
+        events with identical timestamps and consecutive sequence numbers,
+        so nothing could fire between them — executing the deliveries back
+        to back under one event is order-identical, and every downstream
+        event keeps its relative scheduling order.
         """
         self._counts["requests"] += float(len(items))
         if self._lat_on:
@@ -113,7 +112,6 @@ class Crossbar:
         lane = self._lane
         if lane is not None and lane.deliver(now, items):
             events.extra_events += len(items) - 1
-            events.recycle_list(items)
             return
         partitions = self.partitions
         latency = self.latency
@@ -134,4 +132,3 @@ class Crossbar:
 
             partition.access(now, addr, is_write, reply)
         events.extra_events += len(items) - 1
-        events.recycle_list(items)

@@ -18,23 +18,20 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, List, Tuple
 
-from repro.sim import fastpath
 from repro.telemetry.latency import HOP_MSHR, NULL_LATENCY
 from repro.telemetry.tracer import NULL_TRACER
 
 
 #: surface the columnar delivery lane (:mod:`repro.sim.columnar`) binds at
-#: lane construction and mirrors inline (allocate/merge/recycle for the
-#: L2 MSHR, secondary-merge peeks for the metadata MSHRs).  Renaming or
+#: lane construction and mirrors inline (allocate/merge for the L2 MSHR,
+#: secondary-merge peeks for the metadata MSHRs).  Renaming or
 #: re-typing anything listed here requires a matching lane update; the
 #: contract test in ``tests/test_fastpath_identity.py`` fails the rename
 #: at test time instead of deep inside a simulation.
 COLUMNAR_CONTRACT = (
     "merge_cap",
     "_entries",
-    "_pool",
     "_ready_heap",
-    "recycle",
     "earliest_ready",
 )
 
@@ -78,10 +75,6 @@ class MshrTable:
         #: on every cache miss, and a descriptor call there is measurable.
         self.enabled = num_entries > 0
         self._entries: Dict[int, MshrEntry] = {}
-        #: free-list of released entries (slot reuse for the per-miss
-        #: allocation churn); callers hand entries back via :meth:`recycle`
-        #: once they are done reading the waiter list.
-        self._pool: List[MshrEntry] = []
         #: lazy min-heap of (ready_time, line_addr) mirroring allocations,
         #: so :meth:`earliest_ready` is O(log n) instead of a full scan of
         #: the table on every structural stall.  Stale items (released or
@@ -135,14 +128,7 @@ class MshrTable:
             raise RuntimeError("MSHR table full; caller must check .full")
         if line_addr in self._entries:
             raise RuntimeError(f"line {line_addr:#x} already has an MSHR entry")
-        pool = self._pool
-        if pool:
-            entry = pool.pop()
-            entry.line_addr = line_addr
-            entry.ready_time = ready_time
-            entry.merged = 0
-        else:
-            entry = MshrEntry(line_addr, ready_time)
+        entry = MshrEntry(line_addr, ready_time)
         if waiter is not None:
             entry.waiters.append(waiter)
         self._entries[line_addr] = entry
@@ -152,12 +138,6 @@ class MshrTable:
     def release(self, line_addr: int) -> MshrEntry:
         """Remove and return the entry when its fill completes."""
         return self._entries.pop(line_addr)
-
-    def recycle(self, entry: MshrEntry) -> None:
-        """Return a released entry to the free-list (caller is done with it)."""
-        if fastpath.POOLING:
-            entry.waiters.clear()
-            self._pool.append(entry)
 
     def earliest_ready(self) -> float:
         """Ready time of the first fill that will free an entry."""

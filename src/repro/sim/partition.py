@@ -351,7 +351,6 @@ class MemoryPartition:
         self._write_back(now, evictions)
         for respond in entry.waiters:
             respond(now)
-        self.l2_mshr.recycle(entry)
 
     def _on_untracked_fill(self, sector: int, respond: ResponseCallback) -> None:
         now = self.events.now

@@ -115,9 +115,9 @@ class StreamingMultiprocessor:
         self._stat_add = stats.add
         self._counts = stats.raw()
         #: grouped crossbar delivery (one scheduled event per memory op
-        #: instead of one per sector); provided by the GPU top level when
-        #: the batched core is on, None routes through the scalar path.
-        self.send_batch = send_batch if fastpath.BATCHING else None
+        #: instead of one per sector); provided by the GPU top level, None
+        #: (on the reference path) routes through per-access sends.
+        self.send_batch = None if fastpath.REFERENCE else send_batch
 
     # ------------------------------------------------------------------
 
@@ -197,7 +197,7 @@ class StreamingMultiprocessor:
         is_write = op.is_write
         warp_cb = warp.done
         lat_cb = None
-        batch = self.events.borrow_list() if self.send_batch is not None else None
+        batch = [] if self.send_batch is not None else None
         send = self.send
         # inline L1 probe: same stat updates and LRU motion as
         # SectoredCache.lookup, valid only while L1 telemetry is off (a hit
@@ -307,11 +307,8 @@ class StreamingMultiprocessor:
                     send(now, sector, False, cb)
                 else:
                     batch.append((sector, False, cb))
-        if batch is not None:
-            if batch:
-                self.send_batch(now, batch)
-            else:
-                self.events.recycle_list(batch)
+        if batch:
+            self.send_batch(now, batch)
         # hit_ready starts at now and only grows, so it already floors at now.
         if warp.pending == 0:
             self.events.schedule_at(hit_ready, self._step, warp)

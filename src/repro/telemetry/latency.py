@@ -40,6 +40,8 @@ import math
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
+import numpy as _np
+
 from repro.sim import fastpath
 
 # -- hop names ---------------------------------------------------------------
@@ -235,15 +237,9 @@ def _stall_entry() -> List[float]:
     return [0.0, 0.0]
 
 
-try:  # optional: vectorizes the deferred histogram fold below.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_NO_BATCH runs
-    _np = None
-
-#: below this batch size the eager per-value replay wins — the same
-#: call-overhead crossover as the columnar lane's
-#: :data:`repro.sim.columnar.NUMPY_MIN_GROUP` (numpy array setup costs
-#: more than it saves on the 2–8 element flushes sparse hops produce).
+#: below this batch size the eager per-value replay wins (numpy array
+#: setup costs more than it saves on the 2–8 element flushes sparse hops
+#: produce).
 NUMPY_MIN_FOLD = 16
 
 
@@ -265,34 +261,33 @@ def _fold_values(hist: LogHistogram, values: List[float]) -> None:
     * buckets are created in first-appearance order, so later
       ``merge_from`` iteration order is unchanged.
 
-    Histograms that already hold data (or tiny batches) replay the eager
-    update per value, which is trivially identical.
+    Histograms that already hold data, tiny batches and the reference
+    path replay the eager update per value, which is trivially identical.
     """
     if (
-        _np is not None
+        not fastpath.REFERENCE
         and len(values) >= NUMPY_MIN_FOLD
         and hist.n == 0
         and not hist.buckets
     ):
-        if fastpath.BATCHING:
-            arr = _np.asarray(values, dtype=_np.float64)
-            if (arr < 0.0).any():
-                arr = _np.where(arr < 0.0, 0.0, arr)
-            idx = _np.frexp(_np.floor(arr))[1]
-            counts = _np.bincount(idx)
-            sums = _np.bincount(idx, weights=arr)
-            uniq, first_pos = _np.unique(idx, return_index=True)
-            for index in uniq[_np.argsort(first_pos, kind="stable")].tolist():
-                hist.buckets[index] = [float(counts[index]), float(sums[index])]
-            clamped = arr.tolist()
-            hist.n = len(clamped)
-            hist.total = sum(clamped)
-            low, high = min(clamped), max(clamped)
-            if low < hist.min:
-                hist.min = low
-            if high > hist.max:
-                hist.max = high
-            return
+        arr = _np.asarray(values, dtype=_np.float64)
+        if (arr < 0.0).any():
+            arr = _np.where(arr < 0.0, 0.0, arr)
+        idx = _np.frexp(_np.floor(arr))[1]
+        counts = _np.bincount(idx)
+        sums = _np.bincount(idx, weights=arr)
+        uniq, first_pos = _np.unique(idx, return_index=True)
+        for index in uniq[_np.argsort(first_pos, kind="stable")].tolist():
+            hist.buckets[index] = [float(counts[index]), float(sums[index])]
+        clamped = arr.tolist()
+        hist.n = len(clamped)
+        hist.total = sum(clamped)
+        low, high = min(clamped), max(clamped)
+        if low < hist.min:
+            hist.min = low
+        if high > hist.max:
+            hist.max = high
+        return
     rec = hist.record
     for value in values:
         rec(value)

@@ -25,10 +25,9 @@ All addresses are sector-aligned and wrap inside ``spec.working_set``.
 Epoch-batched generation
 ------------------------
 
-With :data:`repro.sim.fastpath.BATCHING` on (and numpy present where it
-helps), the regular patterns — streaming, tiled, stencil — pregenerate
-their line indices an *epoch* at a time with numpy array arithmetic and
-memoize the resulting (frozen, immutable) :class:`WarpOp` objects by
+On the fast path (:data:`repro.sim.fastpath.REFERENCE` off) the regular
+patterns — streaming, tiled, stencil — pregenerate their line indices an
+*epoch* at a time with numpy array arithmetic and memoize the resulting (frozen, immutable) :class:`WarpOp` objects by
 ``(base address, is_write)``.  The op *sequence* is unchanged: the index
 recurrences are evaluated with the same integer math, and the per-step
 ``rng.random()`` write-ratio draws are issued in the same order (or
@@ -36,7 +35,8 @@ skipped entirely when ``write_ratio == 0``, in which case no draw is ever
 observable).  Irregular patterns (random, pointer_chase, mixed) stay on
 the scalar path for their address draws — the Mersenne Twister sequence
 cannot be vectorized without changing it — and only reuse memoized ops /
-validation-free construction, which is output-invisible.
+validation-free construction, which is output-invisible.  The reference
+path keeps the plain per-step generators as the oracle.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def streaming(spec: WorkloadSpec, warp: int, total_warps: int) -> Iterator[WarpO
     rng = spec.rng_for(warp)
     lines = spec.working_set // _LINE
     span = max(1, -(-spec.sectors_per_access * _SECTOR // _LINE))  # lines per step
-    if fastpath.BATCHING and fastpath.HAVE_NUMPY:
+    if not fastpath.REFERENCE:
         return _streaming_epoch(spec, warp, total_warps, rng, lines, span)
     return _streaming_scalar(spec, warp, total_warps, rng, lines, span)
 
@@ -153,7 +153,7 @@ def tiled(spec: WorkloadSpec, warp: int, total_warps: int) -> Iterator[WarpOp]:
     share = max(1, spec.extra.get("tile_share", 16))
     lines = spec.working_set // _LINE
     base_line = ((warp // share) * tile_lines) % max(1, lines - tile_lines)
-    if fastpath.BATCHING:
+    if not fastpath.REFERENCE:
         # the tile cycles with period tile_lines: after one sweep every op
         # object is served from the memo, allocation-free.
         n_insts = spec.insts_per_step
@@ -199,8 +199,8 @@ def mixed(spec: WorkloadSpec, warp: int, total_warps: int) -> Iterator[WarpOp]:
     on chip, a steady minority goes to DRAM.
 
     The address draws are inherently scalar (per-step Mersenne draws), so
-    this pattern keeps the per-step loop under batching and only memoizes
-    the finished ops.
+    this pattern keeps the per-step loop on the fast path and only
+    memoizes the finished ops.
     """
     rng = spec.rng_for(warp)
     hot_fraction = spec.extra.get("hot_fraction", 0.8)
@@ -208,7 +208,7 @@ def mixed(spec: WorkloadSpec, warp: int, total_warps: int) -> Iterator[WarpOp]:
     hot_lines = max(1, hot_bytes // _LINE)
     lines = spec.working_set // _LINE
     span = max(1, -(-spec.sectors_per_access * _SECTOR // _LINE))
-    memo: dict = {} if fastpath.BATCHING else None
+    memo: dict = None if fastpath.REFERENCE else {}
     i = 0
     while True:
         is_write = rng.random() < spec.write_ratio
@@ -244,13 +244,13 @@ def mixed(spec: WorkloadSpec, warp: int, total_warps: int) -> Iterator[WarpOp]:
 def random_access(spec: WorkloadSpec, warp: int, total_warps: int) -> Iterator[WarpOp]:
     """Uniformly random lines; partially coalesced accesses.
 
-    Address draws stay scalar (the rng sequence is the spec); under
-    batching the finished ops are memoized by (line, is_write) so revisited
+    Address draws stay scalar (the rng sequence is the spec); on the fast
+    path the finished ops are memoized by (line, is_write) so revisited
     lines cost two dict probes instead of a construction + validation.
     """
     rng = spec.rng_for(warp)
     lines = spec.working_set // _LINE
-    if fastpath.BATCHING:
+    if not fastpath.REFERENCE:
         n_insts = spec.insts_per_step
         compute = spec.compute_cycles
         count = spec.sectors_per_access
@@ -294,8 +294,8 @@ def pointer_chase(spec: WorkloadSpec, warp: int, total_warps: int) -> Iterator[W
     hot_fraction = spec.extra.get("hot_fraction", 0.0)
     hot_lines = max(1, spec.extra.get("hot_bytes", 256 * 1024) // _LINE)
     # every address term is a multiple of _SECTOR, so construction-time
-    # validation proves nothing; skip it under batching.
-    make = make_op_unchecked if fastpath.BATCHING else WarpOp
+    # validation proves nothing; skip it on the fast path.
+    make = WarpOp if fastpath.REFERENCE else make_op_unchecked
     while True:
         addrs = tuple(
             (
@@ -323,7 +323,7 @@ def stencil(spec: WorkloadSpec, warp: int, total_warps: int) -> Iterator[WarpOp]
     array_bytes = (spec.working_set // arrays) // _LINE * _LINE
     lines = array_bytes // _LINE
     span = max(1, -(-spec.sectors_per_access * _SECTOR // _LINE))
-    if fastpath.BATCHING and fastpath.HAVE_NUMPY:
+    if not fastpath.REFERENCE:
         return _stencil_epoch(spec, warp, total_warps, rng, arrays, array_bytes, lines, span)
     return _stencil_scalar(spec, warp, total_warps, rng, arrays, array_bytes, lines, span)
 
@@ -399,7 +399,7 @@ def compute_only(spec: WorkloadSpec, warp: int, total_warps: int) -> Iterator[Wa
     """Pure-compute phases interleaved with rare tiled accesses."""
     mem_every = max(1, spec.extra.get("mem_every", 8))
     inner = tiled(spec, warp, total_warps)
-    if fastpath.BATCHING:
+    if not fastpath.REFERENCE:
         # the compute op is constant: one frozen instance serves every step.
         compute_op = WarpOp(n_insts=spec.insts_per_step, compute_cycles=spec.compute_cycles)
         i = 0

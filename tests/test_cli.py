@@ -62,6 +62,50 @@ class TestRun:
             main(["run", "nw", "--design", "nope", *FAST])
 
 
+class TestReferenceFlag:
+    """`repro --reference` runs one command on the scalar reference path."""
+
+    @staticmethod
+    def _run(monkeypatch, *flags):
+        from repro import cli
+        from repro.experiments.runner import result_to_dict
+        from repro.sim import fastpath
+
+        seen = {}
+        real_simulate = cli.simulate
+
+        def spy(*args, **kwargs):
+            seen["reference"] = fastpath.REFERENCE
+            result = real_simulate(*args, **kwargs)
+            seen["result"] = result_to_dict(result)
+            return result
+
+        monkeypatch.setattr(cli, "simulate", spy)
+        argv = [*flags, "run", "nw", "--design", "secureMem_mshr64", *FAST]
+        assert main(argv) == 0
+        return seen
+
+    def test_reference_run_matches_default(self, monkeypatch, capsys):
+        from repro.sim import fastpath
+
+        reference = self._run(monkeypatch, "--reference")
+        reference_out = capsys.readouterr().out
+        assert reference["reference"] is True
+        assert fastpath.REFERENCE is False  # scoped to the one command
+        default = self._run(monkeypatch)
+        assert default["reference"] is False
+        assert reference["result"] == default["result"]
+        assert capsys.readouterr().out == reference_out
+
+    @pytest.mark.parametrize("retired", ["batch", "pool", "columnar"])
+    def test_retired_switches_are_rejected(self, retired, capsys):
+        """The old per-optimization opt-outs are gone, not ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([f"--no-{retired}", "designs"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestFigure:
     def test_figure_table2(self, capsys):
         assert main(["figure", "table2", *FAST]) == 0
@@ -185,9 +229,9 @@ class TestBench:
                      "--baseline", str(baseline)]) == 0
         assert json.loads(out.read_text())["events_per_second"] == 100.0
 
-        # a baseline taken under different switches is never compared
+        # a baseline taken on the other fastpath is never compared
         flipped = dict(fastpath.switch_state())
-        flipped["columnar"] = not flipped["columnar"]
+        flipped["reference"] = not flipped["reference"]
         baseline.write_text(json.dumps(
             {"events_per_second": 90.0, "host": {"fastpath": flipped}}))
         assert main(["bench", "--check", "--baseline", str(baseline)]) == 0

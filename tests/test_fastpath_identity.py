@@ -1,17 +1,18 @@
-"""Bit-identity contracts for the batched/pooled/columnar simulation core.
+"""Bit-identity contracts between the fast core and the reference path.
 
-The batched core (grouped crossbar delivery, epoch trace pregeneration),
-the object pools (MSHR entries, in-flight records, event tuples), the
-columnar delivery lane (regular delivery groups routed around the
-per-access event/closure machinery) and the vectorized telemetry fold are
-*mechanical* optimizations: every simulated statistic, latency histogram,
-and run-ledger record must be bit-identical to the scalar
-allocation-per-event path.  These tests pin that claim with golden dumps
-of secure + partitioned configurations — a stencil sweep (``fdtd2d``) and
-a pointer chase (``bfs``), together exercising all four protected classes
-(DATA, COUNTER, MAC, TREE) under both streaming and irregular reuse —
-then replay the same points under every combination of the
-:mod:`repro.sim.fastpath` switches.
+The fast core (grouped crossbar delivery, the columnar delivery lane,
+numpy epoch trace generation, the vectorized telemetry fold) is a
+*mechanical* optimization: every simulated statistic, latency histogram,
+and run-ledger record must be bit-identical to the scalar per-access
+reference path (:data:`repro.sim.fastpath.REFERENCE`).  Two tests pin
+that claim:
+
+* golden dumps of secure + partitioned configurations — a stencil sweep
+  (``fdtd2d``) and a pointer chase (``bfs``), together exercising all four
+  protected classes (DATA, COUNTER, MAC, TREE) under both streaming and
+  irregular reuse — replayed on both paths;
+* a differential run of every registered workload under every registered
+  design, fast against reference, compared field by field.
 
 Regenerate the goldens (only after an intentional model change) with::
 
@@ -32,7 +33,7 @@ from repro.experiments.runner import Runner, result_to_dict
 from repro.obsv.ledger import canonical_points, read_ledger
 from repro.sim import fastpath
 from repro.sim.gpu import simulate
-from repro.workloads.suite import get_benchmark
+from repro.workloads.suite import BENCHMARKS, get_benchmark
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -43,22 +44,13 @@ PARTITIONS = 2
 HORIZON = 4_000.0
 WARMUP = 2_000.0
 
-#: every switch combination the identity claim covers (full 2^3 matrix;
-#: columnar requires batching, so the batching-off rows also pin that the
-#: lane disengages cleanly rather than half-running).
-MODES = [
-    ("batched+pooled+columnar", {}),
-    ("no-columnar", {"columnar": False}),
-    ("unpooled", {"pooling": False}),
-    ("unpooled+no-columnar", {"pooling": False, "columnar": False}),
-    ("scalar", {"batching": False}),
-    ("scalar+no-columnar", {"batching": False, "columnar": False}),
-    ("scalar+unpooled", {"batching": False, "pooling": False}),
-    (
-        "scalar+unpooled+no-columnar",
-        {"batching": False, "pooling": False, "columnar": False},
-    ),
-]
+#: the two paths the identity claim covers: (label, REFERENCE setting).
+MODES = [("fast", False), ("reference", True)]
+MODE_PARAMS = [pytest.param(reference, id=label) for label, reference in MODES]
+
+#: differential scale: short enough to sweep the whole registry.
+DIFF_HORIZON = 1_500.0
+DIFF_WARMUP = 500.0
 
 
 def _golden_path(workload: str) -> Path:
@@ -103,15 +95,31 @@ def _golden(workload: str) -> dict:
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("label,overrides", MODES)
-def test_mode_matches_golden(workload: str, label: str, overrides: dict) -> None:
-    """Every switch combination reproduces the committed dumps exactly."""
+@pytest.mark.parametrize("reference", MODE_PARAMS)
+def test_mode_matches_golden(workload: str, reference: bool) -> None:
+    """Both paths reproduce the committed dumps exactly."""
     golden = _golden(workload)
-    with fastpath.scoped(**overrides):
+    with fastpath.scoped(reference=reference):
         dump = _dump(workload)
-    assert dump["result"] == golden["result"], (workload, label)
-    assert dump["stats"] == golden["stats"], (workload, label)
-    assert dump["latency"] == golden["latency"], (workload, label)
+    assert dump["result"] == golden["result"], (workload, reference)
+    assert dump["stats"] == golden["stats"], (workload, reference)
+    assert dump["latency"] == golden["latency"], (workload, reference)
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARKS))
+def test_fast_matches_reference(workload: str) -> None:
+    """Every design runs this workload identically on both paths."""
+    spec = get_benchmark(workload)
+    for name, factory in designs.DESIGNS.items():
+        config = designs.build_gpu(factory(), PARTITIONS)
+        dumps = []
+        for _, reference in MODES:
+            with fastpath.scoped(reference=reference):
+                result = simulate(
+                    config, spec, horizon=DIFF_HORIZON, warmup=DIFF_WARMUP
+                )
+            dumps.append(result_to_dict(result))
+        assert dumps[0] == dumps[1], (workload, name)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -130,10 +138,10 @@ def test_golden_exercises_all_protected_classes(workload: str) -> None:
 def test_ledger_records_identical_across_modes(
     tmp_path: Path, workload: str
 ) -> None:
-    """All switch combinations write record-equivalent run ledgers."""
+    """Both paths write record-equivalent run ledgers."""
     golden = _golden(workload)
-    for label, overrides in MODES:
-        with fastpath.scoped(**overrides):
+    for label, reference in MODES:
+        with fastpath.scoped(reference=reference):
             records = _ledger_records(tmp_path, label, workload)
         assert records == golden["ledger"], (workload, label)
 

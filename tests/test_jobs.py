@@ -830,18 +830,31 @@ class TestFleetMetrics:
 
     def test_access_log(self, tmp_path):
         log_path = tmp_path / "logs" / "access.jsonl"
+
+        def logged_lines(count):
+            # the handler writes its access-log line after the response
+            # is sent — poll briefly rather than racing it.
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                text = log_path.read_text() if log_path.exists() else ""
+                if text.count("\n") >= count:  # whole lines only
+                    return text.splitlines()
+                time.sleep(0.01)
+            return log_path.read_text().splitlines()
+
         svc = SweepService(tmp_path / "q.sqlite", port=0,
                            access_log=log_path)
         svc.run_in_thread()
         try:
             http_json(svc.url + "/healthz")
+            logged_lines(1)
             with pytest.raises(urllib.error.HTTPError):
                 http_json(svc.url + "/nope")
+            lines = logged_lines(2)
         finally:
             svc.shutdown()
             svc.server_close()
-        records = [json.loads(line)
-                   for line in log_path.read_text().splitlines()]
+        records = [json.loads(line) for line in lines]
         assert [r["path"] for r in records] == ["/healthz", "/nope"]
         assert [r["status"] for r in records] == [200, 404]
         for record in records:

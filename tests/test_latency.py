@@ -25,6 +25,7 @@ from repro.experiments import designs
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import result_to_dict
 from repro.secure.layout import MetadataLayout
+from repro.sim import fastpath
 from repro.sim.event import EventQueue
 from repro.sim.gpu import simulate
 from repro.sim.partition import MemoryPartition
@@ -33,8 +34,10 @@ from repro.telemetry.latency import (
     ALL_HOPS,
     HOP_E2E,
     NULL_LATENCY,
+    NUMPY_MIN_FOLD,
     LatencyRecorder,
     LogHistogram,
+    _fold_values,
     conservation_check,
 )
 from repro.telemetry.traffic import class_bytes_from_result
@@ -145,6 +148,68 @@ class TestLogHistogram:
         hist.merge_from(extra)
         restored.merge_from(extra)
         assert restored.to_dict() == hist.to_dict()
+
+
+class TestVectorizedFold:
+    """`_fold_values` on a fresh histogram equals per-value `record`."""
+
+    #: out-of-order buckets, negatives (clamped), sub-1 values, exact powers
+    #: of two and sums whose rounding depends on accumulation order.
+    VALUES = [
+        37.5, -3.0, 0.25, 1.0, 2.0, 0.999, 4.0, 1024.0, 3.7, -0.0, 0.1,
+        1023.999, 512.0, 0.1, 0.2, 0.3, 7.0, 8.0, 1e6, 2.0**40, 5.5, -1e-9,
+        1.0, 0.5,
+    ]
+
+    @staticmethod
+    def _state(hist):
+        # repr round-trips floats exactly (and tells -0.0 from 0.0); the
+        # item list pins bucket insertion order too.
+        return repr(
+            (list(hist.buckets.items()), hist.n, hist.total, hist.min, hist.max)
+        )
+
+    def _eager(self, values):
+        hist = LogHistogram()
+        for value in values:
+            hist.record(value)
+        return hist
+
+    def test_fold_is_bit_identical_to_record(self):
+        import random
+
+        rng = random.Random(7)
+        noisy = [rng.uniform(-2.0, 3000.0) for _ in range(500)]
+        for values in (self.VALUES, noisy, self.VALUES + noisy):
+            assert len(values) >= NUMPY_MIN_FOLD
+            folded = LogHistogram()
+            _fold_values(folded, values)
+            assert self._state(folded) == self._state(self._eager(values))
+
+    def _count_records(self, monkeypatch):
+        calls = []
+        record = LogHistogram.record
+
+        def counting(hist, value):
+            calls.append(value)
+            record(hist, value)
+
+        monkeypatch.setattr(LogHistogram, "record", counting)
+        return calls
+
+    def test_fast_path_skips_eager_replay(self, monkeypatch):
+        calls = self._count_records(monkeypatch)
+        _fold_values(LogHistogram(), self.VALUES)
+        assert calls == []
+
+    def test_reference_forces_eager_replay(self, monkeypatch):
+        expected = self._state(self._eager(self.VALUES))
+        calls = self._count_records(monkeypatch)
+        hist = LogHistogram()
+        with fastpath.scoped(reference=True):
+            _fold_values(hist, self.VALUES)
+        assert calls == self.VALUES
+        assert self._state(hist) == expected
 
 
 class TestRecorder:
