@@ -338,10 +338,22 @@ wins), heartbeat the lease forward at a third of its period while the
 point simulates, then report `simulated`/`cached` with the full result
 payload, or `failed` with capped exponential backoff stamped into
 `not_before`.  A killed worker stops heartbeating; the next worker
-iteration or service progress query returns the lapsed lease to
-`pending`, and a row that keeps failing is poison-failed after
-`max_attempts` claims so one bad config cannot wedge a sweep.  A late
-report from a worker whose lease was reassigned is refused.
+requeue pass (at most `poll_s` apart) or service progress query returns
+the lapsed lease to `pending`, and a row that keeps failing is
+poison-failed after `max_attempts` claims so one bad config cannot
+wedge a sweep.  A late
+report from a worker whose lease was reassigned is refused.  An idle
+worker waits for the next commit to the store from another connection
+(a submit, another worker's report; checked with `PRAGMA data_version`
+after 5 ms, the gap doubling up to 0.2 s) and claims at once; its
+capped, jittered exponential backoff is only the upper bound of that
+wait, so `not_before` retries and lapsed leases are still picked up on
+time.  A commit wakes every idle worker of a fleet at once, but the
+woken workers only read: `requeue_expired`, the one write an idle
+worker makes, runs at most once per `poll_s` per worker.  SIGTERM makes `repro worker` (and each worker process of
+`repro serve --workers N`) report the point in hand, persist its last
+metrics snapshot and exit 0; `repro serve` on SIGTERM closes its
+listener, stops the reaper, closes the store, then stops its workers.
 
 **HTTP front end** (stdlib `http.server`, JSON, no frameworks):
 
@@ -361,7 +373,9 @@ lines from store rows, so the self-contained HTML report works even when
 the workers' ledger files are on another machine.  CLI sweeps
 (`repro sweep --store`) and HTTP sweeps are rows in the same table —
 one execution path either way.  `scripts/serve_smoke.py` exercises the
-whole loop (serve → submit over HTTP → drain → dashboard) and runs in CI.
+whole loop (serve + idle worker → submit over HTTP → the worker wakes on
+the commit → `/events` long-poll to done → SIGTERM the worker →
+dashboard) and runs in CI.
 
 ## Fleet observability
 
@@ -401,6 +415,8 @@ log2-bucket `hist` dict the telemetry layer already persists.
 events: it returns as soon as a point finishes after the `since` cursor
 (result payloads omitted — follow up with `/results`), immediately when
 the sweep is already terminal, or with an empty list at the timeout.
+While it waits it re-queries every 0.2 s; a closing server ends the
+wait at once with the last answer.
 `repro top` renders the same fleet state as text, reading the store
 directly (`--store`) or scraping `/sweeps` + `/metrics` over HTTP
 (`--url`); `--once` prints one frame (CI-friendly), otherwise it
@@ -468,9 +484,10 @@ dashboard's "Sweep timeline" section renders the same spans as an SVG
 Gantt.  The serve process also runs a background **reaper thread**
 (every `--reaper-interval` seconds, default half the worker lease) so
 expired leases requeue even when nobody polls — passes counted by
-`repro_reaper_passes_total` — and idle workers back off exponentially
-with a deterministic per-worker jitter factor seeded by worker id, so
-a fleet never polls the store in lockstep.
+`repro_reaper_passes_total` — and idle workers wake on the next store
+commit.  A worker's exponential backoff only bounds that wait; its
+deterministic per-worker jitter factor, seeded by worker id, spreads a
+fleet's timed wakes, while a commit wakes every idle worker at once.
 
 Tracing follows the observability ground rules: spans take their
 timeline position from the wall clock but their duration from a

@@ -1,10 +1,13 @@
 #!/usr/bin/env python
 """End-to-end smoke test of the sweep service over real HTTP.
 
-Starts ``repro serve`` as a subprocess on an ephemeral port, submits a
-two-point sweep with POST /sweeps, drains it with one ``repro worker``
-subprocess, polls progress until the sweep is terminal, asserts the
-rendered dashboard HTML is non-empty, scrapes ``GET /metrics``
+Starts ``repro serve`` as a subprocess on an ephemeral port and an idle
+``repro worker --poll`` subprocess beside it, submits a two-point sweep
+with POST /sweeps, waits on the ``/events`` long-poll until the sweep is
+terminal (the worker wakes on the submit's commit; the script prints the
+submit-to-last-done latency), stops the worker with SIGTERM and asserts
+it exits 0, asserts the rendered dashboard HTML is non-empty, scrapes
+``GET /metrics``
 (asserting the worker's claim/report counters made it through the store
 and the service's own request histograms are present), and validates
 the distributed trace: ``GET /sweeps/<id>/spans`` must show one trace
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -33,6 +37,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 REPRO = [sys.executable, "-m", "repro"]
+
+sys.path.insert(0, str(ROOT / "src"))
+from repro.obsv.metrics import parse_prometheus  # noqa: E402
 
 #: generous per-phase budget; the sweep itself is two sub-second points.
 TIMEOUT_S = 120.0
@@ -64,6 +71,13 @@ def http_json(url: str, payload: dict | None = None) -> dict:
         return json.loads(response.read())
 
 
+def fleet_size(base: str) -> float:
+    """Workers the service has seen, from its ``/metrics`` exposition."""
+    with urllib.request.urlopen(base + "/metrics", timeout=30) as response:
+        samples = parse_prometheus(response.read().decode())
+    return samples.get(("repro_fleet_workers", ()), 0.0)
+
+
 def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="serve-smoke-"))
     store = tmp / "sweeps.sqlite"
@@ -72,6 +86,7 @@ def main() -> int:
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, env=ENV, cwd=ROOT,
     )
+    worker = None
     try:
         base = wait_for_url(server)
 
@@ -79,6 +94,19 @@ def main() -> int:
         assert health["status"] == "ok", health
         print(f"healthz ok (version {health['version']})")
 
+        # an idle worker, polling before anything is queued
+        worker = subprocess.Popen(
+            [*REPRO, "worker", "--store", str(store), "--poll"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True, env=ENV, cwd=ROOT,
+        )
+        deadline = time.monotonic() + TIMEOUT_S
+        while fleet_size(base) < 1:  # registered, so its loop is running
+            if worker.poll() is not None or time.monotonic() > deadline:
+                raise RuntimeError(f"worker never joined: rc={worker.poll()}")
+            time.sleep(0.05)
+        print("worker idle")
+        submit_ts = time.time()
         submitted = http_json(
             base + "/sweeps",
             {
@@ -94,17 +122,14 @@ def main() -> int:
         assert submitted["total"] == 2, submitted
         print(f"submitted sweep {sweep_id} ({submitted['total']} points)")
 
-        worker = subprocess.run(
-            [*REPRO, "worker", "--store", str(store)],
-            capture_output=True, text=True, env=ENV, cwd=ROOT,
-            timeout=TIMEOUT_S,
-        )
-        print(f"  [worker] {worker.stdout.strip()}")
-        assert worker.returncode == 0, worker.stderr
-
+        since = 0.0
         deadline = time.monotonic() + TIMEOUT_S
         while True:
-            progress = http_json(base + f"/sweeps/{sweep_id}")
+            doc = http_json(
+                base + f"/sweeps/{sweep_id}/events?since={since!r}&timeout=10"
+            )
+            since = max([since] + [event["done_ts"] for event in doc["events"]])
+            progress = doc["progress"]
             print(
                 f"progress: {progress['counts']['done']}/{progress['total']} "
                 f"done ({progress['status']})"
@@ -113,8 +138,14 @@ def main() -> int:
                 break
             if time.monotonic() > deadline:
                 raise RuntimeError(f"sweep never finished: {progress}")
-            time.sleep(0.5)
         assert progress["status"] == "done", progress["failures"]
+        print(f"submit -> last done: {1e3 * (since - submit_ts):.0f} ms")
+
+        worker.send_signal(signal.SIGTERM)
+        output, _ = worker.communicate(timeout=TIMEOUT_S)
+        print(f"  [worker] {output.strip()}")
+        assert worker.returncode == 0, f"worker exited {worker.returncode} on SIGTERM"
+        print("worker SIGTERM ok (exit 0)")
 
         results = http_json(base + f"/sweeps/{sweep_id}/results")["results"]
         assert len(results) == 2, results
@@ -134,9 +165,6 @@ def main() -> int:
             content_type = response.headers.get("Content-Type", "")
             metrics_text = response.read().decode()
         assert content_type.startswith("text/plain"), content_type
-        sys.path.insert(0, str(ROOT / "src"))
-        from repro.obsv.metrics import parse_prometheus
-
         samples = parse_prometheus(metrics_text)
         claims = sum(
             value
@@ -206,6 +234,9 @@ def main() -> int:
         print("serve smoke: PASS")
         return 0
     finally:
+        if worker is not None and worker.poll() is None:
+            worker.kill()
+            worker.wait()
         server.terminate()
         try:
             server.wait(timeout=10)

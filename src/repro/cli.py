@@ -885,6 +885,8 @@ def _cmd_sweep_store(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    import signal
+
     from repro.jobs.service import DEFAULT_PORT, SweepService
     from repro.jobs.worker import run_workers
 
@@ -916,20 +918,26 @@ def _cmd_serve(args) -> int:
     print(f"repro serve: listening on {service.url} (store {args.store})", flush=True)
     if workers:
         print(f"repro serve: {len(workers)} embedded worker process(es)", flush=True)
+    # SIGTERM takes the Ctrl-C path
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         service.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        service.server_close()  # stops the reaper, closes the store
         for process in workers:
-            process.terminate()
-        service.server_close()
+            process.terminate()  # SIGTERM: each reports its point, then exits
+        for process in workers:
+            process.join()
     return 0
 
 
 def _cmd_worker(args) -> int:
+    import signal
+
     from repro.jobs.store import SQLiteJobStore
-    from repro.jobs.worker import Worker, run_workers
+    from repro.jobs.worker import Worker, run_workers, stop_on_sigterm
 
     until = "forever" if args.poll else "drained"
     if args.count > 1:
@@ -942,12 +950,16 @@ def _cmd_worker(args) -> int:
             ledger_dir=args.ledger_dir,
             max_points=args.max_points,
         )
+        # SIGTERM takes the Ctrl-C path, which forwards it to each process
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
         try:
             for process in processes:
                 process.join()
         except KeyboardInterrupt:
             for process in processes:
                 process.terminate()
+            for process in processes:
+                process.join()
         return 0
     from repro.obsv.metrics import MetricsRegistry
 
@@ -963,6 +975,8 @@ def _cmd_worker(args) -> int:
         max_points=args.max_points,
         metrics=registry,
     )
+    # SIGTERM: report the point in hand, persist the exit snapshot, return
+    stop_on_sigterm(worker)
     try:
         worker.run(until=until)
     except KeyboardInterrupt:

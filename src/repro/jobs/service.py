@@ -66,6 +66,7 @@ import json
 import re
 import threading
 import time
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -101,10 +102,15 @@ class BodyTooLarge(ValueError):
     """A request declared a body over :data:`MAX_BODY_BYTES` (HTTP 413)."""
 
 
-#: long-poll defaults/caps for GET /sweeps/<id>/events.
+#: long-poll defaults/caps for GET /sweeps/<id>/events; a waiting
+#: request re-queries every EVENTS_POLL_S.
 EVENTS_DEFAULT_TIMEOUT_S = 25.0
 EVENTS_MAX_TIMEOUT_S = 60.0
 EVENTS_POLL_S = 0.2
+
+#: seconds a handler waits on a silent client (mid-headers, or a body
+#: shorter than its Content-Length) before it drops the connection.
+HANDLER_TIMEOUT_S = 30.0
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +210,7 @@ def validate_submission(body: dict) -> Tuple[List[Tuple[str, dict]], dict]:
         designs = [body.get("design", "secureMem_mshr64")]
     if not isinstance(designs, list) or not designs:
         raise ValueError("'designs' must be a non-empty list of design names")
-    unknown = [d for d in designs if d not in DESIGNS]
+    unknown = [d for d in designs if not isinstance(d, str) or d not in DESIGNS]
     if unknown:
         raise ValueError(
             f"unknown design(s) {unknown}; known: {', '.join(sorted(DESIGNS))}"
@@ -217,6 +223,12 @@ def validate_submission(body: dict) -> Tuple[List[Tuple[str, dict]], dict]:
         raise ValueError(
             f"unknown workload(s) {bad}; known: {', '.join(BENCHMARK_ORDER)}"
         )
+    # each (design, workload) point at most once, so a sweep is at most
+    # len(DESIGNS) x len(BENCHMARK_ORDER) rows however large the body
+    for kind, names in (("design", designs), ("workload", workloads)):
+        repeated = sorted(name for name, n in Counter(names).items() if n > 1)
+        if repeated:
+            raise ValueError(f"duplicate {kind}(s) {repeated}; list each once")
     try:
         partitions = int(body.get("partitions", 4))
         horizon = float(body.get("horizon", 10_000))
@@ -290,7 +302,8 @@ class SweepService(ThreadingHTTPServer):
             "Background lease-reaper sweeps completed",
         )
         super().__init__((host, port), _Handler)
-        self._reaper_stop = threading.Event()
+        #: set by server_close: stops the reaper and ends waiting long-polls
+        self._closing = threading.Event()
         self._reaper_thread: Optional[threading.Thread] = None
         if reaper_interval_s is not None and reaper_interval_s > 0:
             self._reaper_thread = threading.Thread(
@@ -307,7 +320,7 @@ class SweepService(ThreadingHTTPServer):
 
     def _reaper_loop(self, interval_s: float) -> None:
         """Requeue expired leases on a fixed cadence, poller or not."""
-        while not self._reaper_stop.wait(interval_s):
+        while not self._closing.wait(interval_s):
             try:
                 requeued, poisoned = self.store.requeue_expired()
             except Exception:  # noqa: BLE001 — a closing store must not raise
@@ -330,7 +343,7 @@ class SweepService(ThreadingHTTPServer):
         return thread
 
     def server_close(self) -> None:  # also stop the reaper, close the store
-        self._reaper_stop.set()
+        self._closing.set()
         if self._reaper_thread is not None:
             self._reaper_thread.join(timeout=5.0)
         super().server_close()
@@ -340,6 +353,7 @@ class SweepService(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server: SweepService
     protocol_version = "HTTP/1.1"
+    timeout = HANDLER_TIMEOUT_S
 
     # -- plumbing -------------------------------------------------------
 
@@ -552,6 +566,11 @@ class _Handler(BaseHTTPRequestHandler):
             except BodyTooLarge as exc:
                 self._error(413, str(exc))
                 return
+            except TimeoutError:
+                # part of the body is lost, so the stream is out of step
+                self.close_connection = True
+                self._error(408, "request body not received in time")
+                return
             except ValueError as exc:
                 self._error(400, str(exc))
                 return
@@ -622,8 +641,9 @@ class _Handler(BaseHTTPRequestHandler):
         Returns as soon as any job of the sweep reaches ``done``/
         ``failed`` with ``done_ts > since``, the sweep itself is
         terminal, or the (capped) timeout lapses — whichever is first.
-        Result payloads are deliberately omitted; ``/results`` serves
-        those.
+        While it waits it re-queries every ``EVENTS_POLL_S``; a closing
+        server ends the wait at once with the last answer.  Result
+        payloads are deliberately omitted; ``/results`` serves those.
         """
         params = parse_qs(query)
 
@@ -639,6 +659,7 @@ class _Handler(BaseHTTPRequestHandler):
             EVENTS_MAX_TIMEOUT_S,
         )
         store = self.server.store
+        closing = self.server._closing
         deadline = time.monotonic() + timeout
         while True:
             store.requeue_expired()
@@ -654,10 +675,14 @@ class _Handler(BaseHTTPRequestHandler):
                 for row in store.results(sweep_id)
                 if row["done_ts"] is not None and row["done_ts"] > since
             ]
+            remaining = deadline - time.monotonic()
             if (
                 events
                 or progress["status"] != "running"
-                or time.monotonic() >= deadline
+                or remaining <= 0
+                # the wait between re-queries; True once server_close
+                # began, so a closing store is not queried again
+                or closing.wait(min(EVENTS_POLL_S, remaining))
             ):
                 self._json(
                     200,
@@ -669,7 +694,6 @@ class _Handler(BaseHTTPRequestHandler):
                     },
                 )
                 return
-            time.sleep(EVENTS_POLL_S)
 
     def _dashboard(self, sweep_id: str) -> None:
         from repro.obsv.dashboard import build_dashboard

@@ -28,6 +28,10 @@ race just means ``rowcount == 0`` and another candidate.  The schema is
 versioned through ``PRAGMA user_version`` (the same discipline as the
 run ledger's ``schema`` field).
 
+Idle workers do not sleep on a fixed timer: :func:`wait_for_commit`
+watches :meth:`JobStore.change_token`, which moves when another
+connection commits, and returns at the next commit or at its timeout.
+
 The class is deliberately a thin mapping onto the DB-API: every
 statement is a class-level template using ``qmark`` placeholders, and a
 different DB-API backend (PostgreSQL, MySQL, ...) can subclass and
@@ -61,6 +65,11 @@ STATUSES = ("pending", "running", "done", "failed")
 
 #: default claims (initial + retries) before a point is poison-failed.
 DEFAULT_MAX_ATTEMPTS = 3
+
+#: first gap between change-token checks while waiting for a commit;
+#: each later gap doubles, up to WAKE_CHECK_CAP_S.
+WAKE_CHECK_S = 0.005
+WAKE_CHECK_CAP_S = 0.2
 
 
 def _no_timer() -> None:
@@ -145,6 +154,8 @@ class JobStore(Protocol):
     def record_span(self, sweep_id: str, record: dict) -> None: ...
 
     def spans(self, sweep_id: str) -> List[dict]: ...
+
+    def change_token(self) -> int: ...
 
     def close(self) -> None: ...
 
@@ -316,6 +327,16 @@ class SQLiteJobStore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    def change_token(self) -> int:
+        """A value that moves when *another* connection commits.
+
+        ``PRAGMA data_version``: this connection's own commits (and
+        zero-row updates such as an idle :meth:`requeue_expired`) leave
+        it alone, so a waiter wakes only on news from elsewhere.
+        """
+        with self._lock:
+            return self._conn.execute("PRAGMA data_version").fetchone()[0]
 
     # -- submission -----------------------------------------------------
 
@@ -830,6 +851,29 @@ def span_sink(store: JobStore, sweep_id: str):
         store.record_span(sweep_id, record)
 
     return sink
+
+
+def wait_for_commit(
+    store: JobStore, token: int, timeout_s: float, stop: threading.Event
+) -> bool:
+    """Wait until *store*'s change token differs from *token*, *stop* is
+    set, or *timeout_s* passes; False only on the timeout.
+
+    Read *token* before the queries whose empty answer made the caller
+    wait, so a commit landing in between still wakes it.  The first
+    check comes after WAKE_CHECK_S and each gap doubles up to
+    WAKE_CHECK_CAP_S: a short wait wakes within a few ms of a commit,
+    and a long one checks about five times a second.
+    """
+    deadline = time.monotonic() + timeout_s
+    gap = WAKE_CHECK_S
+    while True:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return False
+        if stop.wait(min(gap, remaining)) or store.change_token() != token:
+            return True
+        gap = min(2 * gap, WAKE_CHECK_CAP_S)
 
 
 def open_store(path: str | Path, metrics=NULL_METRICS) -> SQLiteJobStore:

@@ -27,9 +27,20 @@ The worker is also a trace participant: each claimed job carries the
 sweep's traceparent (minted at submit), and the worker hangs a
 ``worker.claim`` span and a ``worker.execute`` span (heartbeats as
 instant events) under it, persisted back through the store — the same
-rendezvous results take.  All backoff sleeps carry a deterministic
-per-worker jitter factor (seeded by the worker id) so a fleet of idle
-workers never polls the store in lockstep.
+rendezvous results take.
+
+An idle worker waits for the next commit to the store from another
+connection (a submit, another worker's report) and claims at once; the
+capped exponential idle backoff only bounds that wait, so retries whose
+``not_before`` lapses and expired leases are still picked up on time.
+Every backoff carries a deterministic per-worker jitter factor (seeded
+by the worker id), which spreads a fleet's timed wakes.  A commit wakes
+every idle worker of a fleet at once; each then only reads (the claim's
+candidate select, the counts), because ``requeue_expired`` — the one
+write an idle worker makes — runs at most once per ``poll_s``.
+:meth:`Worker.stop` (SIGTERM in ``repro worker`` and in
+:func:`run_workers` processes) ends the loop after the running point is
+reported.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
+import signal
 import socket
 import threading
 import time
@@ -48,7 +60,7 @@ from repro.common.config import GpuConfig
 from repro.experiments.designs import build_named_gpu
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import config_key, result_to_dict
-from repro.jobs.store import Job, SQLiteJobStore, span_sink
+from repro.jobs.store import Job, SQLiteJobStore, span_sink, wait_for_commit
 from repro.obsv.logging import NULL_LOG
 from repro.obsv.metrics import MetricsRegistry
 from repro.obsv.spans import NULL_SPANS, SpanRecorder, parse_traceparent
@@ -57,7 +69,8 @@ from repro.obsv.spans import NULL_SPANS, SpanRecorder, parse_traceparent
 BACKOFF_BASE_S = 0.5
 BACKOFF_CAP_S = 30.0
 
-#: idle claim polling backs off exponentially from ``poll_s`` up to here.
+#: the idle wait's upper bound backs off exponentially from ``poll_s``
+#: up to here.
 IDLE_BACKOFF_CAP_S = 5.0
 
 
@@ -71,8 +84,8 @@ def backoff_jitter(worker_id: str) -> float:
 
     Seeded by the worker id (not the RNG) so a worker's backoff
     schedule is reproducible run-to-run, yet any two workers sharing a
-    store desynchronize instead of hammering SQLite in lockstep after
-    a simultaneous idle poll or a common failure.
+    store desynchronize their timed wakes and retries instead of
+    hammering SQLite in lockstep after a common failure.
     """
     digest = hashlib.sha256(worker_id.encode("utf-8")).hexdigest()
     return 0.75 + (int(digest[:8], 16) / 0x100000000) * 0.5
@@ -129,6 +142,7 @@ class Worker:
         self.log = log
         self.jitter = backoff_jitter(self.worker_id)
         self._idle_streak = 0
+        self._stop = threading.Event()
         #: wall ts + duration of the last successful claim, for its span.
         self._last_claim: Tuple[float, float] = (0.0, 0.0)
         #: outcome -> count, over this worker's lifetime.
@@ -160,7 +174,7 @@ class Worker:
         )
         self._m_idle_sleeps = metrics.counter(
             "repro_worker_idle_sleeps_total",
-            "Poll sleeps taken with no claimable job",
+            "Idle waits that ended with no claimable job",
         )
         self._m_busy = metrics.gauge(
             "repro_worker_busy", "1 while executing a point, else 0"
@@ -321,15 +335,31 @@ class Worker:
 
     # ------------------------------------------------------------------
 
+    def stop(self) -> None:
+        """End :meth:`run` after the point in hand (if any) is reported.
+
+        Safe from another thread; an idle wait ends at once.  From a
+        signal handler use :func:`stop_on_sigterm`.
+        """
+        self._stop.set()
+
     def run(self, until: str = "drained") -> int:
         """The loop; returns how many claims this worker executed."""
         if until not in ("drained", "forever"):
             raise ValueError(f"until must be 'drained' or 'forever', got {until!r}")
         executed = 0
+        requeued_at = -self.poll_s
         self._persist_snapshot()  # register with the fleet before first claim
         self.log.log("worker.start", worker=self.worker_id, until=until)
-        while True:
-            self.store.requeue_expired()
+        while not self._stop.is_set():
+            # read before the queries, so a commit landing after them
+            # still ends the idle wait below
+            token = self.store.change_token()
+            # leases lapse with time, not with commits: a fleet woken by
+            # one report does not queue up on the store's write lock
+            if time.monotonic() - requeued_at >= self.poll_s:
+                self.store.requeue_expired()
+                requeued_at = time.monotonic()
             claim_wall = time.time()
             claim_t0 = time.perf_counter()
             job = self.store.claim(self.worker_id, self.lease_s)
@@ -345,16 +375,16 @@ class Worker:
             if until == "drained" and not counts["pending"] and not counts["running"]:
                 break
             self._m_idle_sleeps.inc()
-            time.sleep(self._idle_sleep_s())
+            wait_for_commit(self.store, token, self._idle_sleep_s(), self._stop)
         self._persist_snapshot()
         self.close()
         self.log.log("worker.exit", worker=self.worker_id, executed=executed)
         return executed
 
     def _idle_sleep_s(self) -> float:
-        """Next idle sleep: capped exponential from ``poll_s``, scaled
-        by this worker's deterministic jitter so idle fleets spread out
-        instead of polling in lockstep."""
+        """Next idle wait's upper bound: capped exponential from
+        ``poll_s``, scaled by this worker's deterministic jitter so a
+        fleet's timed wakes spread out."""
         backoff = min(self.idle_cap_s, self.poll_s * (2 ** self._idle_streak))
         self._idle_streak = min(self._idle_streak + 1, 16)
         return backoff * self.jitter
@@ -369,6 +399,18 @@ class Worker:
 # ---------------------------------------------------------------------------
 
 
+def stop_on_sigterm(worker: Worker) -> None:
+    """Make SIGTERM call ``worker.stop()`` (main thread only).
+
+    The handler hands the call to a new thread: a handler runs on the
+    main thread between two bytecodes, possibly while that thread holds
+    the stop event's lock inside ``wait``, which ``set`` needs too.
+    """
+    signal.signal(
+        signal.SIGTERM, lambda *_: threading.Thread(target=worker.stop).start()
+    )
+
+
 def _worker_main(store_path: str, kwargs: dict, until: str) -> None:
     # One shared registry per worker process: store-op series and worker
     # series land in the same snapshot the heartbeat persists, so the
@@ -376,7 +418,9 @@ def _worker_main(store_path: str, kwargs: dict, until: str) -> None:
     registry = MetricsRegistry()
     store = SQLiteJobStore(store_path, metrics=registry)
     try:
-        Worker(store, metrics=registry, **kwargs).run(until=until)
+        worker = Worker(store, metrics=registry, **kwargs)
+        stop_on_sigterm(worker)
+        worker.run(until=until)
     finally:
         store.close()
 
@@ -391,7 +435,8 @@ def run_workers(
 
     Returns the (started) :class:`multiprocessing.Process` list; with
     ``until="drained"`` simply ``join()`` them, with ``"forever"`` they
-    run until terminated (the HTTP service's embedded workers).
+    run until terminated (the HTTP service's embedded workers).  SIGTERM
+    (``Process.terminate``) makes each finish its point and exit.
     """
     processes = []
     for _ in range(max(1, int(count))):

@@ -7,27 +7,38 @@ after a worker dies mid-point and another worker re-claims the lease.
 """
 
 import json
+import os
+import signal
 import socket
 import sqlite3
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments.designs import build_named_gpu
 from repro.experiments.runner import Runner, config_key, result_to_dict
 from repro.jobs.store import (
     JOB_SCHEMA,
     DEFAULT_MAX_ATTEMPTS,
+    WAKE_CHECK_S,
     SQLiteJobStore,
     iter_points,
+    wait_for_commit,
 )
 from repro.jobs.worker import Worker, build_config, default_worker_id
 from repro.jobs.service import (
+    EVENTS_POLL_S,
+    HANDLER_TIMEOUT_S,
     MAX_BODY_BYTES,
     SweepService,
+    _Handler,
     sweep_heartbeat_lines,
     sweep_ledger_records,
     validate_submission,
@@ -482,6 +493,7 @@ class TestService:
     def test_bad_submission_400(self, service):
         for payload in (
             {"design": "no_such_design"},
+            {"designs": [["baseline"]]},  # unhashable: 400, not a crash
             {"workloads": ["doom"]},
             {"workloads": []},
             {"partitions": "many"},
@@ -542,6 +554,285 @@ class TestService:
         _, progress = http_json(service.url + f"/sweeps/{doc['sweep_id']}")
         assert progress["counts"]["pending"] == 1  # back in the queue
         assert progress["counts"]["running"] == 0
+        store.close()
+
+    def test_duplicate_names_400_insert_nothing(self, service):
+        # duplicates would multiply rows: 50k copies of one name in a
+        # sub-MiB body must not become 50k points
+        before = service.store.sweep_count()
+        for payload, name in (
+            ({"workloads": ["bfs"] * 50_000}, "bfs"),
+            ({"designs": ["baseline", "direct_40", "baseline"]}, "baseline"),
+        ):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                http_json(service.url + "/sweeps", payload)
+            assert excinfo.value.code == 400
+            error = json.loads(excinfo.value.read())["error"]
+            assert "duplicate" in error and repr(name) in error
+        assert service.store.sweep_count() == before
+
+    def test_stalled_client_dropped(self, service, monkeypatch):
+        assert _Handler.timeout == HANDLER_TIMEOUT_S
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        short_body = (
+            b"POST /sweeps HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: 100\r\n\r\n" + b'{"design"'
+        )
+        for stalled, answer in (
+            (b"GET /healthz HTTP/1.1\r\nHost: loc", b""),  # mid-headers
+            (short_body, b"HTTP/1.1 408 "),  # fewer bytes than declared
+        ):
+            with socket.create_connection(service.server_address[:2], timeout=10) as sock:
+                sock.sendall(stalled)
+                start = time.monotonic()
+                response = b""
+                while chunk := sock.recv(65536):  # until the server closes
+                    response += chunk
+                assert time.monotonic() - start < 2.0
+            assert response.startswith(answer), response[:80]
+            status, _ = http_json(service.url + "/healthz")
+            assert status == 200
+
+
+# ---------------------------------------------------------------------------
+# waking on store commits, and stopping
+# ---------------------------------------------------------------------------
+
+
+def idle_waits(worker):
+    return snapshot_value(worker.metrics.snapshot(), "repro_worker_idle_sleeps_total")
+
+
+def wait_until(predicate, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+class TestWakePath:
+    def test_change_token_moves_only_on_other_commits(self, tmp_path):
+        path = tmp_path / "q.sqlite"
+        with SQLiteJobStore(path) as store, SQLiteJobStore(path) as other:
+            token = store.change_token()
+            submit(store)  # own commit
+            assert store.requeue_expired() == (0, 0)  # zero-row update
+            assert store.change_token() == token
+            submit(other)
+            moved = store.change_token()
+            assert moved != token
+            other.requeue_expired()
+            assert store.change_token() == moved
+
+    def test_wait_for_commit_checks_back_off(self):
+        class Store:  # counts checks; the token moves once `moved` is set
+            checks = 0
+            moved = False
+
+            def change_token(self):
+                self.checks += 1
+                return 1 if self.moved else 0
+
+        store = Store()
+        start = time.monotonic()
+        assert not wait_for_commit(store, 0, 1.0, threading.Event())
+        assert time.monotonic() - start >= 1.0
+        # 5 ms doubling up to 0.2 s: 10 checks in 1 s, where a fixed
+        # 5 ms gap would make 200
+        assert 5 <= store.checks <= 12
+        store.moved = True
+        start = time.monotonic()
+        assert wait_for_commit(store, 0, 1.0, threading.Event())
+        assert time.monotonic() - start < 0.5
+        assert time.monotonic() - start >= WAKE_CHECK_S
+
+    def test_commit_woken_worker_requeues_at_most_once_per_poll(self, tmp_path):
+        path = tmp_path / "q.sqlite"
+        store = SQLiteJobStore(path)
+        requeues = []
+        requeue = store.requeue_expired
+        store.requeue_expired = lambda: requeues.append(1) or requeue()
+        worker = Worker(store, worker_id="w1", poll_s=1.0)
+        thread = threading.Thread(target=worker.run, args=("forever",))
+        thread.start()
+        try:
+            wait_until(lambda: idle_waits(worker) >= 1)
+            with SQLiteJobStore(path) as other:
+                for n in range(20):  # commits with nothing to claim
+                    other.record_worker("other", {"n": n})
+                    time.sleep(0.02)
+            wakes = idle_waits(worker)
+        finally:
+            worker.stop()
+            thread.join()
+        assert wakes >= 5  # the commits woke the worker ...
+        assert len(requeues) <= 2  # ... but its one write ran once a poll_s
+        store.close()
+
+    def test_idle_worker_wakes_on_commit(self, tmp_path):
+        path = tmp_path / "q.sqlite"
+        store = SQLiteJobStore(path)
+        # poll_s=1.0: the first idle wait is bounded by at least 0.75 s
+        worker = Worker(store, worker_id="w1", poll_s=1.0, max_points=1)
+        thread = threading.Thread(target=worker.run, args=("forever",))
+        thread.start()
+        try:
+            wait_until(lambda: idle_waits(worker) >= 1)
+            time.sleep(0.1)
+            with SQLiteJobStore(path) as other:
+                submitted = time.monotonic()
+                sweep_id = submit(other, points=[("nw", SPECS[0])])
+            thread.join(timeout=5.0)
+            elapsed = time.monotonic() - submitted
+        finally:
+            worker.stop()
+            thread.join()
+        assert store.results(sweep_id)[0]["status"] == "done"
+        assert elapsed < 0.5
+        store.close()
+
+    def test_not_before_retry_claimed_without_commit(self, tmp_path):
+        path = tmp_path / "q.sqlite"
+        with SQLiteJobStore(path) as other:
+            sweep_id = submit(other, points=[("nw", SPECS[0])])
+            job = other.claim("w0", lease_s=30.0)
+            reported = time.time()
+            assert other.report(job.id, "w0", "failed", error="boom", retry_in_s=0.3)
+        # no commit lands from here on: only the timed path can claim
+        store = SQLiteJobStore(path)
+        worker = Worker(store, worker_id="w1", poll_s=0.05, idle_cap_s=0.2,
+                        max_points=1)
+        thread = threading.Thread(target=worker.run, args=("forever",))
+        thread.start()
+        thread.join(timeout=10.0)
+        if thread.is_alive():
+            worker.stop()
+            thread.join()
+        row = store.results(sweep_id)[0]
+        assert row["status"] == "done" and row["attempts"] == 2
+        assert row["done_ts"] >= reported + 0.3
+        assert idle_waits(worker) >= 1
+        store.close()
+
+    def test_events_wait_requeries_at_most_every_poll(self, service, monkeypatch):
+        _, doc = http_json(
+            service.url + "/sweeps",
+            {"design": "baseline", "workloads": ["nw"], "partitions": 2,
+             "horizon": HORIZON, "warmup": WARMUP},
+        )
+        calls = []
+        results = service.store.results
+        monkeypatch.setattr(
+            service.store, "results",
+            lambda sweep_id: calls.append(sweep_id) or results(sweep_id),
+        )
+        start = time.monotonic()
+        _, payload = http_json(
+            service.url + f"/sweeps/{doc['sweep_id']}/events?since=0&timeout=1"
+        )
+        elapsed = time.monotonic() - start
+        assert payload["events"] == [] and elapsed >= 0.9
+        assert 1 < len(calls) <= elapsed / EVENTS_POLL_S + 1
+
+    def test_closing_server_ends_events_wait(self, service):
+        _, doc = http_json(
+            service.url + "/sweeps",
+            {"design": "baseline", "workloads": ["nw"], "partitions": 2,
+             "horizon": HORIZON, "warmup": WARMUP},
+        )
+        replies = []
+        waiter = threading.Thread(target=lambda: replies.append(http_json(
+            service.url + f"/sweeps/{doc['sweep_id']}/events?since=0&timeout=30"
+        )))
+        waiter.start()
+        time.sleep(0.3)
+        service.shutdown()
+        closed = time.monotonic()
+        service.server_close()  # closes the store under the waiting request
+        waiter.join(timeout=5.0)
+        assert time.monotonic() - closed < 1.0
+        status, payload = replies[0]
+        assert status == 200 and payload["events"] == []
+        assert payload["progress"]["status"] == "running"
+
+
+def repro_process(*args):
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    )
+
+
+class TestShutdown:
+    def test_stop_ends_idle_wait(self, tmp_path):
+        store = SQLiteJobStore(tmp_path / "q.sqlite")
+        worker = Worker(store, worker_id="w1", poll_s=1.0)
+        thread = threading.Thread(target=worker.run, args=("forever",))
+        thread.start()
+        wait_until(lambda: idle_waits(worker) >= 1)
+        stopped = time.time()
+        worker.stop()
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+        assert time.time() - stopped < 0.5
+        assert store.workers_seen()[0]["updated_ts"] >= stopped  # exit snapshot
+        store.close()
+
+    def test_stop_mid_point_reports_then_exits(self, tmp_path):
+        path = tmp_path / "q.sqlite"
+        store = SQLiteJobStore(path)
+        sweep_id = submit(store)
+        worker = Worker(store, worker_id="w1", poll_s=0.01)
+        execute = worker._execute
+
+        def stop_then_execute(job):
+            worker.stop()  # arrives while the point is in hand
+            return execute(job)
+
+        worker._execute = stop_then_execute
+        assert worker.run(until="forever") == 1
+        counts = store.counts(sweep_id)
+        assert counts["done"] == 1
+        assert counts["pending"] == len(BENCHES) * len(SPECS) - 1
+        store.close()
+
+    def test_worker_process_exits_on_sigterm(self, tmp_path):
+        path = tmp_path / "q.sqlite"
+        store = SQLiteJobStore(path)
+        proc = repro_process("worker", "--store", str(path), "--poll")
+        try:
+            wait_until(lambda: store.workers_seen() or proc.poll() is not None, 60.0)
+            assert proc.poll() is None, proc.stdout.read()
+            signalled = time.time()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=2.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert "0 claim(s)" in proc.stdout.read()
+        assert store.workers_seen()[0]["updated_ts"] >= signalled  # exit snapshot
+        store.close()
+
+    def test_serve_exits_on_sigterm_and_stops_its_workers(self, tmp_path):
+        path = tmp_path / "q.sqlite"
+        proc = repro_process("serve", "--store", str(path), "--port", "0",
+                             "--workers", "1")
+        try:
+            assert "listening on" in proc.stdout.readline()
+            store = SQLiteJobStore(path)
+            wait_until(lambda: store.workers_seen() or proc.poll() is not None, 60.0)
+            assert proc.poll() is None, proc.stdout.read()
+            signalled = time.time()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        # the embedded worker stopped through its own SIGTERM path
+        assert store.workers_seen()[0]["updated_ts"] >= signalled
         store.close()
 
 
